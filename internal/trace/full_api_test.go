@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rdgc/internal/gc/gcfuzz"
+	"rdgc/internal/gc/semispace"
 	"rdgc/internal/heap"
 	"rdgc/internal/trace"
 )
@@ -216,6 +217,61 @@ func TestRecorderErrorPaths(t *testing.T) {
 	}
 	if err := rec.Finish(); !errors.Is(err, trace.ErrInvalid) {
 		t.Fatalf("second Finish: got %v, want ErrInvalid", err)
+	}
+}
+
+// TestRecorderUnresolvedPointers pins the identity table's miss contract:
+// a pointer to an offset no recorded object starts at, into a space the
+// recorder never saw, or to the address a collector moved an object away
+// from must poison the recording with ErrInvalid — both as an operand and
+// as an event target — exactly as the address map it replaced did.
+func TestRecorderUnresolvedPointers(t *testing.T) {
+	// setup records one rooted pair under semispace and collects once, so
+	// the pair has moved; it returns the pair's old and current addresses.
+	setup := func(t *testing.T) (*trace.Recorder, heap.Word, heap.Word) {
+		t.Helper()
+		h := heap.New()
+		c := semispace.New(h, 1024)
+		w, err := trace.NewWriter(&bytes.Buffer{}, trace.Header{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := trace.NewRecorder(h, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := h.Cons(h.Fix(1), h.Null())
+		old := h.Get(x)
+		c.Collect()
+		cur := h.Get(x)
+		if cur == old {
+			t.Fatal("semispace collection did not move the pair")
+		}
+		return rec, old, cur
+	}
+	bad := map[string]func(old, cur heap.Word) heap.Word{
+		"never-allocated offset": func(_, cur heap.Word) heap.Word {
+			return heap.PtrWord(heap.PtrSpace(cur), heap.PtrOff(cur)+500)
+		},
+		"unknown space":              func(_, cur heap.Word) heap.Word { return heap.PtrWord(heap.PtrSpace(cur)+40, 0) },
+		"moved object's old address": func(old, _ heap.Word) heap.Word { return old },
+	}
+	uses := map[string]func(rec *trace.Recorder, w heap.Word){
+		"operand": func(rec *trace.Recorder, w heap.Word) { rec.EvRootPush(w) },
+		"target":  func(rec *trace.Recorder, w heap.Word) { rec.EvStore(w, 0, heap.FixnumWord(2)) },
+	}
+	for name, mk := range bad {
+		for use, emit := range uses {
+			rec, old, cur := setup(t)
+			emit(rec, cur)
+			if err := rec.Err(); err != nil {
+				t.Fatalf("%s: current address of the moved pair: %v", use, err)
+			}
+			emit(rec, mk(old, cur))
+			if err := rec.Err(); !errors.Is(err, trace.ErrInvalid) {
+				t.Errorf("%s as %s: got %v, want ErrInvalid", name, use, err)
+			}
+		}
 	}
 }
 

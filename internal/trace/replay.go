@@ -10,14 +10,15 @@ import (
 
 // Replayer applies trace events to a heap, driving any collector through
 // the identical allocation/store/root schedule the recording mutator
-// produced. Object identity is maintained the same way the recorder
-// maintains it: an ID → current-address table kept fresh by the heap's
-// move hook, costing one word per recorded object.
+// produced. Object identity is kept in both directions by the heap's move
+// hook: an ID → current-address slice costing one word per recorded
+// object, and the same address → ID side table the Recorder keeps
+// (idTable), which tells the hook which ID a relocated object carries.
 type Replayer struct {
 	h     *heap.Heap
 	c     heap.Collector
-	words []heap.Word          // allocation ID -> current address
-	ids   map[heap.Word]uint64 // current address -> allocation ID
+	words []heap.Word // allocation ID -> current address
+	ids   idTable     // current address -> allocation ID
 }
 
 // NewReplayer attaches a replayer to a pristine heap whose collector c is
@@ -26,7 +27,7 @@ func NewReplayer(h *heap.Heap, c heap.Collector) (*Replayer, error) {
 	if h.Stats.ObjectsAllocated != 0 || h.LiveRefs() != 0 || h.GlobalRoots() != 0 {
 		return nil, fmt.Errorf("%w: replayer needs a pristine heap", ErrInvalid)
 	}
-	rp := &Replayer{h: h, c: c, ids: make(map[heap.Word]uint64)}
+	rp := &Replayer{h: h, c: c, ids: idTable{h: h}}
 	h.SetMoveHook(rp.moved)
 	return rp, nil
 }
@@ -35,9 +36,7 @@ func NewReplayer(h *heap.Heap, c heap.Collector) (*Replayer, error) {
 func (rp *Replayer) Close() { rp.h.SetMoveHook(nil) }
 
 func (rp *Replayer) moved(old, new heap.Word) {
-	if id, ok := rp.ids[old]; ok {
-		delete(rp.ids, old)
-		rp.ids[new] = id
+	if id, ok := rp.ids.move(old, new); ok {
 		rp.words[id] = new
 	}
 }
@@ -64,7 +63,7 @@ func (rp *Replayer) Apply(ev *Event) error {
 		// The allocation may trigger a collection; the move hook keeps the
 		// tables fresh while it runs.
 		w := rp.h.AllocObject(ev.Type, ev.Size)
-		rp.ids[w] = uint64(len(rp.words))
+		rp.ids.set(w, uint64(len(rp.words)))
 		rp.words = append(rp.words, w)
 	case KindStore:
 		obj, err := rp.word(ev.Obj)
@@ -185,11 +184,10 @@ func Replay(rd *Reader, h *heap.Heap, c heap.Collector, opt ReplayOptions) (res 
 
 	var ev Event
 	for {
-		nerr := rd.Next(&ev)
-		if errors.Is(nerr, io.EOF) {
-			break
-		}
-		if nerr != nil {
+		if nerr := rd.Next(&ev); nerr != nil {
+			if errors.Is(nerr, io.EOF) {
+				break
+			}
 			return res, nerr
 		}
 		if aerr := rp.Apply(&ev); aerr != nil {
