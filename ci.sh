@@ -55,7 +55,7 @@ RDGC_GC_INCR=1 go test -race -count=1 ./internal/heap ./internal/gc/marksweep ./
 # never-promote) re-run under the race detector with RDGC_GC_ADAPT pinned
 # on, so every heap the tests build routes survivors through the tenured
 # evacuation path with the feedback controller live.
-RDGC_GC_ADAPT=1 go test -race -count=1 ./internal/heap ./internal/gc/generational ./internal/gc/multigen ./internal/gc/hybrid ./internal/gc/conformance
+RDGC_GC_ADAPT=1 go test -race -count=1 ./internal/heap ./internal/gc/multigen ./internal/gc/hybrid ./internal/gc/conformance
 go run ./cmd/benchreport -smoke
 
 # Server simulation: the shard loop re-runs under the race detector with the

@@ -616,7 +616,7 @@ var tenurePolicies = []struct {
 // tenuring knobs pinned, a generational collector built by mk, and the
 // workload body, returning the copy-work decomposition.
 func tenureCell(workload, policy string, threshold int, adaptive bool,
-	mk func(h *heap.Heap) *generational.Collector, body func(h *heap.Heap) error) TenureResult {
+	mk func(h *heap.Heap) *multigen.Collector, body func(h *heap.Heap) error) TenureResult {
 	h := heap.New()
 	h.SetGCTenure(threshold)
 	h.SetGCAdaptive(adaptive)
@@ -665,8 +665,8 @@ func tenureBenchmarks() []TenureResult {
 		workload := fmt.Sprintf("decay-%d", halfLife)
 		for _, p := range tenurePolicies {
 			out = append(out, tenureCell(workload, p.name, p.threshold, p.adaptive,
-				func(h *heap.Heap) *generational.Collector {
-					return generational.New(h, nursery, total-nursery, generational.WithExpansion(2))
+				func(h *heap.Heap) *multigen.Collector {
+					return generational.New(h, nursery, total-nursery, multigen.WithExpansion(2))
 				},
 				func(h *heap.Heap) error {
 					w := decay.NewWorkload(h, float64(halfLife), 1)
@@ -705,8 +705,8 @@ func tenureBenchmarks() []TenureResult {
 		prog, nursery, old := r.prog, r.nursery, r.old
 		for _, p := range tenurePolicies {
 			out = append(out, tenureCell(prog.Name(), p.name, p.threshold, p.adaptive,
-				func(h *heap.Heap) *generational.Collector {
-					return generational.New(h, nursery, old, generational.WithExpansion(2))
+				func(h *heap.Heap) *multigen.Collector {
+					return generational.New(h, nursery, old, multigen.WithExpansion(2))
 				},
 				prog.Run))
 		}

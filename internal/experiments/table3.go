@@ -3,6 +3,7 @@ package experiments
 import (
 	"rdgc/internal/bench"
 	"rdgc/internal/gc/generational"
+	"rdgc/internal/gc/multigen"
 	"rdgc/internal/gc/semispace"
 	"rdgc/internal/heap"
 )
@@ -93,7 +94,7 @@ func RunTable3Row(mk func() bench.Program, cfg Table3Config) (Table3Row, error) 
 	// little less storage than the stop-and-copy collector.
 	hG := heap.New()
 	old := maxInt(semi-nursery, 2*peak+2*nursery)
-	cG := generational.New(hG, nursery, old, generational.WithExpansion(2))
+	cG := generational.New(hG, nursery, old, multigen.WithExpansion(2))
 	genRes := bench.Measure(mk(), hG, cG)
 	if genRes.Err != nil {
 		return Table3Row{}, genRes.Err

@@ -31,11 +31,11 @@ func collectors() map[string]func(h *heap.Heap) heap.Collector {
 			return marksweep.New(h, 8192, marksweep.WithExpansion(2))
 		},
 		"generational": func(h *heap.Heap) heap.Collector {
-			return generational.New(h, 1024, 16384, generational.WithExpansion(2))
+			return generational.New(h, 1024, 16384, multigen.WithExpansion(2))
 		},
 		"generational-ssb": func(h *heap.Heap) heap.Collector {
 			return generational.New(h, 1024, 16384,
-				generational.WithExpansion(2), generational.WithRemset(remset.NewSSB()))
+				multigen.WithExpansion(2), multigen.WithRemset(remset.NewSSB()))
 		},
 		"nonpredictive": func(h *heap.Heap) heap.Collector {
 			return core.New(h, 8, 1024, core.WithGrowth())

@@ -21,12 +21,6 @@ import (
 // tenuringCollectors builds each tenuring-capable collector at an explicit
 // promotion threshold (0 = adaptive).
 func tenuringCollectors(threshold int) map[string]func(h *heap.Heap) heap.Collector {
-	genOpt := func() generational.Option {
-		if threshold == 0 {
-			return generational.WithAdaptive()
-		}
-		return generational.WithTenure(threshold)
-	}
 	mgOpt := func() multigen.Option {
 		if threshold == 0 {
 			return multigen.WithAdaptive()
@@ -41,7 +35,7 @@ func tenuringCollectors(threshold int) map[string]func(h *heap.Heap) heap.Collec
 	}
 	return map[string]func(h *heap.Heap) heap.Collector{
 		"generational": func(h *heap.Heap) heap.Collector {
-			return generational.New(h, 1024, 16384, generational.WithExpansion(2), genOpt())
+			return generational.New(h, 1024, 16384, multigen.WithExpansion(2), mgOpt())
 		},
 		"multigen": func(h *heap.Heap) heap.Collector {
 			return multigen.New(h, []int{1024, 2048, 16384}, multigen.WithExpansion(2), mgOpt())
@@ -135,7 +129,7 @@ func TestAgeOracle(t *testing.T) {
 // itself: corrupting one live object's side-table age must fail Check.
 func TestAgeOracleDetectsCorruption(t *testing.T) {
 	h := heap.New()
-	c := generational.New(h, 1024, 16384, generational.WithTenure(heap.TenureNever))
+	c := generational.New(h, 1024, 16384, multigen.WithTenure(heap.TenureNever))
 	o := gctest.InstallAgeOracle(h, c)
 
 	sc := h.Scope()
@@ -201,7 +195,7 @@ func TestTenureThresholdOneIsWholesale(t *testing.T) {
 	}
 	base := map[string]func(h *heap.Heap) heap.Collector{
 		"generational": func(h *heap.Heap) heap.Collector {
-			return generational.New(h, 1024, 16384, generational.WithExpansion(2))
+			return generational.New(h, 1024, 16384, multigen.WithExpansion(2))
 		},
 		"multigen": func(h *heap.Heap) heap.Collector {
 			return multigen.New(h, []int{1024, 2048, 16384}, multigen.WithExpansion(2))
@@ -248,7 +242,7 @@ func TestTenureNeverPromotesNothing(t *testing.T) {
 			h.SetGCWorkers(workers)
 			h.SetGCAdaptive(false)
 			c := generational.New(h, 1024, 16384,
-				generational.WithExpansion(2), generational.WithTenure(heap.TenureNever))
+				multigen.WithExpansion(2), multigen.WithTenure(heap.TenureNever))
 			exerciseTenureNever(t, h, c)
 			if n := c.RemsetLen(); n != 0 {
 				t.Errorf("remembered set has %d entries, want 0", n)

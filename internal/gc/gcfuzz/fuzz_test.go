@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rdgc/internal/gc/generational"
+	"rdgc/internal/gc/multigen"
 	"rdgc/internal/heap"
 )
 
@@ -224,7 +225,7 @@ func TestTenuredRunDetectsBadAge(t *testing.T) {
 	prog := seedPrograms()[6] // seed-tenure-churn: minors retain and age survivors
 	corr := &ageCorrupter{}
 	mk := func(h *heap.Heap) heap.Collector {
-		return generational.New(h, 1024, 16384, generational.WithExpansion(2))
+		return generational.New(h, 1024, 16384, multigen.WithExpansion(2))
 	}
 	wrap := func(h *heap.Heap, c heap.Collector) heap.Collector {
 		corr.h, corr.Collector = h, c

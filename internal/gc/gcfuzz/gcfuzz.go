@@ -111,7 +111,7 @@ func Collectors() []NamedCollector {
 			return marksweep.New(h, 8192, marksweep.WithExpansion(2))
 		}},
 		{"generational", func(h *heap.Heap) heap.Collector {
-			return generational.New(h, 1024, 16384, generational.WithExpansion(2))
+			return generational.New(h, 1024, 16384, multigen.WithExpansion(2))
 		}},
 		{"nonpredictive", func(h *heap.Heap) heap.Collector {
 			return core.New(h, 8, 1024, core.WithGrowth())
@@ -145,7 +145,7 @@ func CollectorsSized(total int) []NamedCollector {
 			return marksweep.New(h, total, marksweep.WithExpansion(2))
 		}},
 		{"generational", func(h *heap.Heap) heap.Collector {
-			return generational.New(h, nursery, 2*total, generational.WithExpansion(2))
+			return generational.New(h, nursery, 2*total, multigen.WithExpansion(2))
 		}},
 		{"nonpredictive", func(h *heap.Heap) heap.Collector {
 			return core.New(h, 8, nursery, core.WithGrowth())

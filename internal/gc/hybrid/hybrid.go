@@ -60,15 +60,15 @@ type Collector struct {
 	// under-threshold survivors in the nurseryTo shadow instead of moving
 	// them to the dynamic area. All nil/zero under the default threshold
 	// of 1, where minor() runs the wholesale §8.4 path unchanged.
-	threshold int
-	trigger   int
-	carry     int
-	nurseryTo *heap.Space
-	youngBuf  []*heap.Space
-	keepBuf   []heap.Word
+	threshold  int
+	trigger    int
+	carry      int
+	nurseryTo  *heap.Space
+	youngBuf   []*heap.Space
+	keepBuf    []heap.Word
 	rsARootTen func(obj heap.Word)
-	ctrl      *policy.Controller
-	adaptOn   bool
+	ctrl       *policy.Controller
+	adaptOn    bool
 }
 
 // Option configures the collector.
@@ -438,7 +438,9 @@ func (c *Collector) minorTenured() {
 	c.stats.TenureThreshold = c.threshold
 	c.h.AddPause(&c.stats, e.WordsCopied)
 	c.notePeaks()
-	c.adapt(fresh, e)
+	if c.ctrl != nil {
+		c.threshold, c.trigger = c.ctrl.Step(fresh, e, c.nursery, &c.stats)
+	}
 	c.h.AfterGC()
 }
 
@@ -495,39 +497,6 @@ func (c *Collector) rememberPromoted() {
 			off += heap.ObjWords(hdr)
 		}
 	})
-}
-
-// adapt feeds the policy controller one tenured promoting collection and
-// applies its decision.
-func (c *Collector) adapt(fresh int, e *heap.Evacuator) {
-	if c.ctrl == nil {
-		return
-	}
-	if fresh < 0 {
-		fresh = 0
-	}
-	surv, retained := e.SurvivorsByAge()
-	d := c.ctrl.Observe(policy.Observation{
-		FreshWords:    uint64(fresh),
-		SurvByAge:     *surv,
-		RetainedByAge: *retained,
-		PromotedWords: e.WordsPromoted,
-		NurseryCap:    c.nursery.Cap(),
-	})
-	c.threshold = d.Threshold
-	trigger := d.TriggerWords
-	if trigger <= 0 || trigger > c.nursery.Cap() {
-		trigger = c.nursery.Cap()
-	}
-	if floor := c.nursery.Top + c.nursery.Cap()/8; trigger < floor {
-		trigger = floor
-		if trigger > c.nursery.Cap() {
-			trigger = c.nursery.Cap()
-		}
-	}
-	c.trigger = trigger
-	c.stats.PolicyAdaptations = c.ctrl.Adaptations()
-	c.stats.TenureThreshold = c.threshold
 }
 
 // regionFree sums free words in logical step positions [lo, hi).

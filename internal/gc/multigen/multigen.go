@@ -1,13 +1,15 @@
-// Package multigen implements a conventional multi-generation collector in
-// the style the paper's Section 7 describes for Larceny: a pipeline of
-// aging generations between the nursery and a semispace-managed old area
-// (compare Lieberman–Hewitt and the promotion pipelines of [2, 9, 19, 26,
-// 35, 36] in the paper's related work). Objects are promoted one region per
-// collection, so the generation an object lives in approximates its age in
-// collections — the youngest-first heuristic at its most refined, and
-// therefore the sharpest contrast with the non-predictive collector: under
-// the radioactive decay model no amount of aging fidelity helps
-// (BenchmarkAblationTenuring).
+// Package multigen implements the youngest-first generational collectors:
+// a nursery, a pipeline of aging generations, and a semispace-managed old
+// area. With two generations it is the conventional generational collector
+// the paper compares against in Table 3 (internal/gc/generational names
+// that configuration); with more it is the Larceny-style pipeline Section 7
+// describes (compare Lieberman–Hewitt and the promotion pipelines of [2, 9,
+// 19, 26, 35, 36] in the paper's related work). Objects are promoted one
+// region per collection, so the generation an object lives in approximates
+// its age in collections — the youngest-first heuristic at its most
+// refined, and therefore the sharpest contrast with the non-predictive
+// collector: under the radioactive decay model no amount of aging fidelity
+// helps (BenchmarkAblationTenuring).
 //
 // The remembered set records objects in *older* generations that point into
 // *younger* ones. After each collection it is re-filtered by rescanning
@@ -29,6 +31,7 @@ import (
 // semispace pair.
 type Collector struct {
 	h     *heap.Heap
+	name  string
 	gens  []*heap.Space // gens[0] is the nursery; gens[n-1] is oldFrom
 	oldTo *heap.Space
 	genOf []int8 // SpaceID -> generation index, -1 otherwise
@@ -43,6 +46,17 @@ type Collector struct {
 	evac       *heap.Evacuator
 	window     int
 	windowRoot func(obj heap.Word)
+
+	// The remembered-set rescans ask of each object whether a field points
+	// into a generation younger than probeGen. Their visitors are built
+	// once and keepBuf is reused, so steady-state collections allocate
+	// nothing.
+	probeGen      int
+	probeFound    bool
+	probe         func(slot *heap.Word)
+	refilterVisit func(obj heap.Word)
+	rememberVisit func(s *heap.Space, lo, hi int)
+	keepBuf       []heap.Word
 
 	expand float64
 
@@ -73,11 +87,14 @@ func WithExpansion(invLoad float64) Option {
 	return func(c *Collector) { c.expand = invLoad }
 }
 
-// WithRemset substitutes the remembered-set representation.
+// WithRemset substitutes the remembered-set representation (default
+// HashSet).
 func WithRemset(rs remset.Set) Option { return func(c *Collector) { c.rs = rs } }
 
 // WithTenure sets the nursery promotion threshold explicitly, overriding
-// the heap's GCTenure setting (1 = wholesale, heap.TenureNever = never).
+// the heap's GCTenure setting: survivors are evacuated within the nursery
+// until they have survived threshold collections (1 = wholesale
+// promotion, heap.TenureNever = never promote).
 func WithTenure(threshold int) Option {
 	if threshold < 1 {
 		panic("multigen: tenure threshold must be at least 1")
@@ -99,7 +116,10 @@ func New(h *heap.Heap, sizes []int, opts ...Option) *Collector {
 	if len(sizes) < 2 {
 		panic("multigen: need at least 2 generations")
 	}
-	c := &Collector{h: h, rs: remset.NewHashSet()}
+	c := &Collector{h: h, name: "generational", rs: remset.NewHashSet()}
+	if len(sizes) > 2 {
+		c.name = fmt.Sprintf("multigen(%d)", len(sizes))
+	}
 	c.threshold = h.GCTenure()
 	c.adaptOn = h.GCAdaptive()
 	for _, o := range opts {
@@ -120,10 +140,16 @@ func New(h *heap.Heap, sizes []int, opts ...Option) *Collector {
 		c.stats.RemsetScanned++
 		heap.ScanObject(c.h.SpaceOf(obj), heap.PtrOff(obj), c.evac.Slot())
 	}
+	c.probe = c.probeSlot
+	c.refilterVisit = c.refilterEntry
+	c.rememberVisit = c.rememberRegion
 	if c.adaptOn {
 		c.ctrl = policy.New(policy.Config{})
 	}
 	if c.threshold > 1 || c.ctrl != nil {
+		// Tenuring needs a survivor shadow for within-nursery evacuation;
+		// the adaptive harness arms it even at threshold 1 so the survival
+		// counters flow from the first collection.
 		c.gen0To = h.NewSpace("gen-0-to", sizes[0])
 		c.gens[0].EnsureAgeTable()
 		c.gen0To.EnsureAgeTable()
@@ -180,10 +206,9 @@ func (c *Collector) genIdx(w heap.Word) int {
 	return int(c.genOf[id])
 }
 
-// Name implements heap.Collector.
-func (c *Collector) Name() string {
-	return fmt.Sprintf("multigen(%d)", len(c.gens))
-}
+// Name implements heap.Collector: "generational" for the two-generation
+// configuration, "multigen(n)" otherwise.
+func (c *Collector) Name() string { return c.name }
 
 // GCStats implements heap.Collector.
 func (c *Collector) GCStats() *heap.GCStats { return &c.stats }
@@ -246,7 +271,7 @@ func (c *Collector) AllocRaw(t heap.Type, payload int) heap.Word {
 	if !ok && c.tenured() {
 		// Retained survivors can leave too little room even after a
 		// nursery collection; a major empties every generation.
-		c.major()
+		c.major(total)
 		off, ok = c.gens[0].Bump(total)
 	}
 	if !ok {
@@ -259,7 +284,7 @@ func (c *Collector) allocOld(t heap.Type, payload, total int) heap.Word {
 	old := c.gens[len(c.gens)-1]
 	off, ok := old.Bump(total)
 	if !ok {
-		c.collectUpTo(len(c.gens) - 1)
+		c.major(total)
 		old = c.gens[len(c.gens)-1]
 		off, ok = old.Bump(total)
 		if !ok {
@@ -289,7 +314,9 @@ func (c *Collector) chooseWindow(need int) int {
 func (c *Collector) collectUpTo(m int) {
 	last := len(c.gens) - 1
 	if m >= last {
-		c.major()
+		// No generation has room for the worst-case survivors: collect
+		// everything, and let expansion leave a nursery's worth of headroom.
+		c.major(c.gens[0].Used())
 		return
 	}
 	if m == 0 && c.tenured() {
@@ -307,12 +334,19 @@ func (c *Collector) collectUpTo(m int) {
 	for i := 0; i <= m; i++ {
 		c.gens[i].Reset()
 	}
-	c.refilterRemset()
+	if m+1 == last {
+		// Every younger generation is now empty, so no remembered object
+		// can still point into one.
+		c.rs.Clear()
+	} else {
+		c.refilterRemset()
+	}
 
 	c.stats.Collections++
 	c.stats.WordsCopied += e.WordsCopied
 	c.stats.WordsPromoted += e.WordsCopied
 	c.h.AddPause(&c.stats, e.WordsCopied)
+	c.stats.NoteLive(c.Live())
 	c.notePeak()
 	if c.tenured() {
 		// The window included the nursery and promoted it wholesale.
@@ -325,7 +359,8 @@ func (c *Collector) collectUpTo(m int) {
 // younger than the threshold flip into the gen0To shadow with their side-
 // table ages incremented, the rest are promoted to generation 1. Only
 // reached when chooseWindow picked m == 0, which guarantees generation 1
-// has headroom for the worst case.
+// has headroom for the worst case. Because retained survivors stay young,
+// the remembered set is refiltered rather than cleared.
 func (c *Collector) minorTenured() {
 	nursery := c.gens[0]
 	fresh := nursery.Top - c.carry
@@ -342,7 +377,10 @@ func (c *Collector) minorTenured() {
 	c.rebuildGenOf()
 	c.carry = c.gens[0].Top
 	c.refilterRemset()
-	c.rememberPromoted()
+	// Promoted objects that reference a retained nursery survivor are
+	// older-to-younger pointers the barrier never saw (both ends moved
+	// during the collection).
+	e.CopiedRegions(c.rememberVisit)
 
 	c.stats.Collections++
 	c.stats.WordsCopied += e.WordsCopied
@@ -350,76 +388,22 @@ func (c *Collector) minorTenured() {
 	c.stats.WordsTenured += e.WordsRetained
 	c.stats.TenureThreshold = c.threshold
 	c.h.AddPause(&c.stats, e.WordsCopied)
+	c.stats.NoteLive(c.Live())
 	c.notePeak()
-	c.adapt(fresh, e)
+	if c.ctrl != nil {
+		c.threshold, c.trigger = c.ctrl.Step(fresh, e, c.gens[0], &c.stats)
+	}
 	c.h.AfterGC()
 }
 
-// rememberPromoted scans the objects this collection promoted into
-// generation 1: any that reference a retained nursery survivor are
-// older-to-younger pointers the barrier never saw (both ends moved during
-// the collection). Must run after the flip and rebuildGenOf.
-func (c *Collector) rememberPromoted() {
-	found := false
-	g := 0
-	probe := func(slot *heap.Word) {
-		if found || !heap.IsPtr(*slot) {
-			return
-		}
-		if gv := c.genIdx(*slot); gv >= 0 && gv < g {
-			found = true
-		}
-	}
-	c.evac.CopiedRegions(func(s *heap.Space, lo, hi int) {
-		for off := lo; off < hi; off += heap.ObjWords(s.Mem[off]) {
-			g = c.genIdx(heap.PtrWord(s.ID, off))
-			found = false
-			heap.ScanObject(s, off, probe)
-			if found {
-				c.rs.Remember(heap.PtrWord(s.ID, off))
-			}
-		}
-	})
-}
-
-// adapt feeds the policy controller one tenured nursery collection and
-// applies its decision.
-func (c *Collector) adapt(fresh int, e *heap.Evacuator) {
-	if c.ctrl == nil {
-		return
-	}
-	if fresh < 0 {
-		fresh = 0
-	}
-	surv, retained := e.SurvivorsByAge()
-	d := c.ctrl.Observe(policy.Observation{
-		FreshWords:    uint64(fresh),
-		SurvByAge:     *surv,
-		RetainedByAge: *retained,
-		PromotedWords: e.WordsPromoted,
-		NurseryCap:    c.gens[0].Cap(),
-	})
-	c.threshold = d.Threshold
-	trigger := d.TriggerWords
-	if trigger <= 0 || trigger > c.gens[0].Cap() {
-		trigger = c.gens[0].Cap()
-	}
-	if floor := c.gens[0].Top + c.gens[0].Cap()/8; trigger < floor {
-		trigger = floor
-		if trigger > c.gens[0].Cap() {
-			trigger = c.gens[0].Cap()
-		}
-	}
-	c.trigger = trigger
-	c.stats.PolicyAdaptations = c.ctrl.Adaptations()
-	c.stats.TenureThreshold = c.threshold
-}
-
-// major collects every generation into the old to-space and flips.
-func (c *Collector) major() {
+// major collects every generation into the old to-space and flips. need
+// is the allocation that could not be placed, which expansion leaves room
+// for.
+func (c *Collector) major(need int) {
 	last := len(c.gens) - 1
 	if c.expand > 0 {
-		worst := 0
+		// Worst case: everything currently allocated survives.
+		worst := need
 		for _, g := range c.gens {
 			worst += g.Used()
 		}
@@ -442,10 +426,11 @@ func (c *Collector) major() {
 	c.stats.MajorCollections++
 	c.stats.WordsCopied += e.WordsCopied
 	c.h.AddPause(&c.stats, e.WordsCopied)
-	c.stats.NoteLive(c.gens[last].Used())
+	c.stats.NoteLive(c.Live())
 	c.notePeak()
 
 	if c.tenured() {
+		// The major promoted the whole nursery: no survivors are carried.
 		c.carry = 0
 		if c.ctrl != nil {
 			c.ctrl.ObserveMajor(e.WordsCopied)
@@ -454,11 +439,13 @@ func (c *Collector) major() {
 
 	if c.expand > 0 {
 		live := c.gens[last].Used()
-		want := int(float64(live) * c.expand)
+		want := int(float64(live)*c.expand) + need
 		if want > c.oldTo.Cap() {
 			c.oldTo.Resize(want)
 		}
 		if want > c.gens[last].Cap() {
+			// Grow the active space too: copy once more into the (bigger)
+			// to-space and flip back.
 			e.SetFrom(c.gens[last])
 			e.Begin(c.oldTo)
 			e.Run()
@@ -473,45 +460,66 @@ func (c *Collector) major() {
 
 // refilterRemset rescans every surviving entry and keeps only those that
 // still contain a pointer into a strictly younger generation — the §8.4
-// refinement. Entries that were themselves collected have forwarded or
-// died; forwarded entries re-enter under their new address.
+// refinement.
 func (c *Collector) refilterRemset() {
-	var keep []heap.Word
-	c.rs.ForEach(func(obj heap.Word) {
-		w := obj
-		s := c.h.SpaceOf(w)
-		off := heap.PtrOff(w)
-		if off >= s.Top {
-			return // entry died with its reset space
-		}
-		hdr := s.Mem[off]
-		if heap.IsPtr(hdr) {
-			w = hdr // follow the forwarding left by the evacuation
-			s = c.h.SpaceOf(w)
-			off = heap.PtrOff(w)
-		}
-		g := c.genIdx(w)
-		still := false
-		heap.ScanObject(s, off, func(slot *heap.Word) {
-			if still || !heap.IsPtr(*slot) {
-				return
-			}
-			if gv := c.genIdx(*slot); gv >= 0 && gv < g {
-				still = true
-			}
-		})
-		if still {
-			keep = append(keep, w)
-		}
-	})
+	c.keepBuf = c.keepBuf[:0]
+	c.rs.ForEach(c.refilterVisit)
 	c.rs.Clear()
-	for _, w := range keep {
+	for _, w := range c.keepBuf {
 		c.rs.Remember(w)
 	}
 }
 
+// refilterEntry keeps one remembered object if it still points younger.
+// Entries that were themselves collected have forwarded or died;
+// forwarded entries re-enter under their new address.
+func (c *Collector) refilterEntry(obj heap.Word) {
+	s := c.h.SpaceOf(obj)
+	off := heap.PtrOff(obj)
+	if off >= s.Top {
+		return // entry died with its reset space
+	}
+	if hdr := s.Mem[off]; heap.IsPtr(hdr) {
+		obj = hdr // follow the forwarding left by the evacuation
+		s = c.h.SpaceOf(obj)
+		off = heap.PtrOff(obj)
+	}
+	if c.pointsYounger(s, off, c.genIdx(obj)) {
+		c.keepBuf = append(c.keepBuf, obj)
+	}
+}
+
+// rememberRegion remembers every object copied into [lo, hi) of s that
+// points into a younger generation. Must run after the nursery flip and
+// rebuildGenOf.
+func (c *Collector) rememberRegion(s *heap.Space, lo, hi int) {
+	g := c.genIdx(heap.PtrWord(s.ID, lo))
+	for off := lo; off < hi; off += heap.ObjWords(s.Mem[off]) {
+		if c.pointsYounger(s, off, g) {
+			c.rs.Remember(heap.PtrWord(s.ID, off))
+		}
+	}
+}
+
+// pointsYounger reports whether the object at off in s has a field that
+// points into a generation younger than g.
+func (c *Collector) pointsYounger(s *heap.Space, off, g int) bool {
+	c.probeGen, c.probeFound = g, false
+	heap.ScanObject(s, off, c.probe)
+	return c.probeFound
+}
+
+func (c *Collector) probeSlot(slot *heap.Word) {
+	if c.probeFound || !heap.IsPtr(*slot) {
+		return
+	}
+	if gv := c.genIdx(*slot); gv >= 0 && gv < c.probeGen {
+		c.probeFound = true
+	}
+}
+
 // Collect implements heap.Collector with a full collection.
-func (c *Collector) Collect() { c.major() }
+func (c *Collector) Collect() { c.major(0) }
 
 func (c *Collector) notePeak() {
 	if p := c.rs.Peak(); p > c.stats.RemsetPeak {

@@ -57,7 +57,7 @@ type GCStats struct {
 	MaxPauseWords    uint64
 	RemsetPeak       int    // largest remembered set observed
 	RemsetScanned    uint64 // remembered-set entries traced as roots
-	PeakLive         int    // largest post-collection occupancy observed
+	PeakLive         int    // largest total occupancy across all spaces after every collection
 	BarrierShades    uint64 // objects shaded gray by the incremental write barrier
 
 	// Age-based tenuring and adaptive-policy accounting (tenure.go,

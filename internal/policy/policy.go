@@ -244,6 +244,30 @@ func (c *Controller) Observe(o Observation) Decision {
 	return Decision{Threshold: c.threshold, TriggerWords: c.trigger, Changed: changed}
 }
 
+// Step feeds the controller one tenured nursery collection, run by e over
+// a nursery now holding its retained survivors, with fresh words allocated
+// since the previous one. It returns the threshold and trigger to apply,
+// the trigger clamped to [nursery.Top+Cap/8, Cap] so allocation never
+// collects on every request, and copies both knobs' state into stats.
+func (c *Controller) Step(fresh int, e *heap.Evacuator, nursery *heap.Space, stats *heap.GCStats) (threshold, trigger int) {
+	surv, retained := e.SurvivorsByAge()
+	d := c.Observe(Observation{
+		FreshWords:    uint64(max(fresh, 0)),
+		SurvByAge:     *surv,
+		RetainedByAge: *retained,
+		PromotedWords: e.WordsPromoted,
+		NurseryCap:    nursery.Cap(),
+	})
+	trigger = d.TriggerWords
+	if trigger <= 0 || trigger > nursery.Cap() {
+		trigger = nursery.Cap()
+	}
+	trigger = max(trigger, min(nursery.Top+nursery.Cap()/8, nursery.Cap()))
+	stats.PolicyAdaptations = c.adaptations
+	stats.TenureThreshold = d.Threshold
+	return d.Threshold, trigger
+}
+
 // fhat estimates class a's survival fraction, falling back to the oldest
 // measured class when a has never existed under the thresholds run so far
 // (age-invariance is the natural prior: it is exactly the decay model).
