@@ -11,6 +11,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -95,6 +96,9 @@ func main() {
 	res, err := serve.Run(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gcserve:", err)
+		if errors.Is(err, serve.ErrInvalidConfig) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 	if *jsonOut {

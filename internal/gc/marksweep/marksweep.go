@@ -27,13 +27,7 @@ import (
 type Collector struct {
 	h      *heap.Heap
 	spaces []*heap.Space
-	// hint[i] is the first block of spaces[i] that might still have free
-	// storage. Within a mutator phase a block's free list only shrinks, so
-	// once a block's list empties every later request can skip it; sweep
-	// refills lists and resets the hints. Skipping only completely full
-	// blocks keeps placement identical to a plain first-fit scan.
-	hint []int
-	los  *heap.LargeObjectSpace
+	los    *heap.LargeObjectSpace
 
 	stats heap.GCStats
 
@@ -95,7 +89,6 @@ func New(h *heap.Heap, words int, opts ...Option) *Collector {
 func (c *Collector) addSpace(words int) {
 	s := c.h.NewBlockedSpace(fmt.Sprintf("markswept-%d", len(c.spaces)), words)
 	c.spaces = append(c.spaces, s)
-	c.hint = append(c.hint, 0)
 }
 
 // Name implements heap.Collector.
@@ -193,17 +186,24 @@ func (c *Collector) grow(need int) {
 	c.addSpace(want)
 }
 
-// tryAlloc finds the first free block of at least n words across all blocked
-// spaces, scanning each space's blocks first-fit from its hint.
+// tryAlloc finds the first free block of at least n words across all
+// blocked spaces, first-fit in (space, block, address) order. The block
+// table's first-fit index jumps straight to the next block whose bound
+// admits n, skipping exactly the blocks a linear scan would find hopeless,
+// so placement is that of the linear scan. In incremental mode a block
+// still awaiting its lazy sweep always qualifies, and is swept — its own
+// recorded pause — the moment the scan reaches it, before its free list is
+// trusted; in stop-the-world mode no block is ever pending.
 func (c *Collector) tryAlloc(n int) (*heap.Space, int, bool) {
-	for i, s := range c.spaces {
-		fh := s.Blocks.FreeHead
-		for b := c.hint[i]; b < len(fh); b++ {
-			if fh[b] == heap.NoFreeBlock {
-				if b == c.hint[i] {
-					c.hint[i] = b + 1
+	for _, s := range c.spaces {
+		bt := s.Blocks
+		for b := bt.FirstFit(0, n); b >= 0; b = bt.FirstFit(b+1, n) {
+			if words := c.sweeper.EnsureSwept(s, b); words > 0 {
+				c.stats.WordsSwept += uint64(words)
+				c.h.AddPause(&c.stats, uint64(words))
+				if c.sweeper.LazyPending() == 0 && c.phase == msSweeping {
+					c.finishCycle()
 				}
-				continue
 			}
 			if off, ok := s.AllocFromBlock(b, n); ok {
 				return s, off, true
@@ -238,9 +238,6 @@ func (c *Collector) Collect() {
 	swept += c.los.Sweep()
 	c.stats.WordsSwept += swept
 	c.h.AddPause(&c.stats, pause+m.WordsMarked+swept)
-	for i := range c.hint {
-		c.hint[i] = 0
-	}
 	if c.incr != nil {
 		c.lastLive = m.WordsMarked
 		c.scheduleNext()

@@ -1,9 +1,11 @@
 package marksweep
 
 import (
+	"math"
 	"os"
 	"testing"
 
+	"rdgc/internal/decay"
 	"rdgc/internal/gc/gctest"
 	"rdgc/internal/heap"
 )
@@ -186,4 +188,45 @@ func TestMarkConsIsOneOverLMinusOne(t *testing.T) {
 	if markCons < want*0.8 || markCons > want*1.25 {
 		t.Errorf("mark/cons = %.3f, want about %.3f", markCons, want)
 	}
+}
+
+// decayHeapWords sizes a heap as experiments.DecayConfig.HeapWords does for
+// decay vectors with payloads uniform in [sizeMin, sizeMax]: L times the
+// equilibrium live words.
+func decayHeapWords(halfLife, l float64, sizeMin, sizeMax int) int {
+	avg := 1 + float64(sizeMin+sizeMax)/2
+	return int(math.Ceil(l * decay.Model{H: halfLife}.EquilibriumLive() * avg))
+}
+
+// warmFragmentedHeap returns a mark/sweep collector whose heap has run the
+// decay model with mixed sizes for ten half-lives, so its blocks are
+// fragmented the way a steady-state heap is, with the workload driving it.
+func warmFragmentedHeap(halfLife float64) (*heap.Heap, *Collector, *decay.Workload) {
+	h := heap.New()
+	c := New(h, decayHeapWords(halfLife, 2, 4, 60))
+	w := decay.NewWorkload(h, halfLife, 1, decay.WithSizes(4, 60))
+	w.Warmup(10)
+	return h, c, w
+}
+
+// TestTryAllocWarmZeroAllocs guards the first-fit path: on a warm,
+// fragmented heap an allocation scan — index jumps, lazy sweeps in
+// incremental mode, free-list carves — must not allocate.
+func TestTryAllocWarmZeroAllocs(t *testing.T) {
+	_, c, _ := warmFragmentedHeap(256)
+	c.tryAlloc(8)
+	if n := testing.AllocsPerRun(100, func() { c.tryAlloc(8) }); n != 0 {
+		t.Errorf("warm tryAlloc allocates %.1f times per run, want 0", n)
+	}
+}
+
+// BenchmarkAllocFragmented measures allocation, collections included, into
+// a warmed decay heap (half-life 4096 objects, L=2, payloads of 4–60
+// words): the first-fit scan over a fragmented block table is the layer
+// under test. Reports ns per allocated object.
+func BenchmarkAllocFragmented(b *testing.B) {
+	_, _, w := warmFragmentedHeap(4096)
+	b.ResetTimer()
+	w.Run(b.N)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/alloc")
 }

@@ -64,13 +64,15 @@ type BlockTable struct {
 	// NoFreeBlock. Lists are address-ordered within the block.
 	FreeHead []int32
 	// MaxRun[b] is an upper bound on the largest free run in block b, in
-	// words: exact after a sweep, and tightened by a failed allocation scan
+	// words: exact after a sweep, tightened by a failed allocation scan
 	// (first-fit finding no run of n words proves every run is smaller, so
-	// the bound drops to n-1). Runs only ever shrink between sweeps, so the
-	// bound stays valid without being recomputed on allocation. It lets the
-	// allocator skip hopeless blocks in O(1) while leaving first-fit
-	// placement bit-identical: only blocks that cannot satisfy the request
-	// are skipped.
+	// the bound drops to n-1), and zeroed when a carve empties the block's
+	// list. Runs only ever shrink between sweeps, so the bound stays valid
+	// without being recomputed on allocation. It lets the allocator skip
+	// hopeless blocks while leaving first-fit placement bit-identical: only
+	// blocks that cannot satisfy the request are skipped. Writers go
+	// through setBound (or rebuildIndex after a batch) so the first-fit
+	// index never goes stale.
 	MaxRun []int32
 	// Unswept is a bitset (one bit per block) of blocks whose free lists are
 	// stale because a completed mark has not yet been swept into them. The
@@ -79,6 +81,108 @@ type BlockTable struct {
 	// by the paced background scan. A set bit means FreeHead/MaxRun and the
 	// block's mark bits must not be trusted until EnsureSwept runs.
 	Unswept []uint64
+
+	// index is the first-fit index: a max tree over the blocks' effective
+	// bounds, laid out as an implicit binary heap — node i has children 2i
+	// and 2i+1, and the leaf of block b is index[leaves+b]. A leaf holds
+	// MaxRun[b], or BlockWords while b awaits its lazy sweep (its stale
+	// bound says nothing about what the sweep will free, and the scan must
+	// still reach it to sweep it on demand). Leaves past the last block
+	// hold 0 and never match. FirstFit descends it in O(log blocks).
+	index  []int32
+	leaves int // leaf count: NumBlocks rounded up to a power of two
+}
+
+// newBlockTable sizes a block table for nb blocks. Bounds and index start
+// at zero; the caller fills MaxRun and rebuilds the index.
+func newBlockTable(nb int) *BlockTable {
+	leaves := 1
+	for leaves < nb {
+		leaves <<= 1
+	}
+	return &BlockTable{
+		FreeHead: make([]int32, nb),
+		MaxRun:   make([]int32, nb),
+		Unswept:  make([]uint64, (nb+63)/64),
+		index:    make([]int32, 2*leaves),
+		leaves:   leaves,
+	}
+}
+
+// leafBound is block b's effective bound as the index holds it.
+func (bt *BlockTable) leafBound(b int) int32 {
+	if bt.UnsweptAt(b) {
+		return BlockWords
+	}
+	return bt.MaxRun[b]
+}
+
+// updateLeaf re-reads block b's effective bound into its index leaf and
+// repairs the path to the root, stopping as soon as a node is unchanged.
+func (bt *BlockTable) updateLeaf(b int) {
+	i := bt.leaves + b
+	bt.index[i] = bt.leafBound(b)
+	for i > 1 {
+		i >>= 1
+		m := max(bt.index[2*i], bt.index[2*i+1])
+		if bt.index[i] == m {
+			return
+		}
+		bt.index[i] = m
+	}
+}
+
+// setBound sets block b's free-run bound and its index leaf.
+func (bt *BlockTable) setBound(b int, v int32) {
+	bt.MaxRun[b] = v
+	bt.updateLeaf(b)
+}
+
+// rebuildIndex recomputes the whole index from MaxRun and the unswept bits
+// in O(blocks). Batch writers (the sweeps, which may run on many workers
+// at once) set MaxRun directly and rebuild once afterwards, so no two
+// workers ever share a tree node.
+func (bt *BlockTable) rebuildIndex() {
+	for b := range bt.MaxRun {
+		bt.index[bt.leaves+b] = bt.leafBound(b)
+	}
+	for i := bt.leaves - 1; i >= 1; i-- {
+		bt.index[i] = max(bt.index[2*i], bt.index[2*i+1])
+	}
+}
+
+// FirstFit returns the first block at or after from whose effective bound
+// admits n words (n >= 1), or -1 if none does. The bound is only an upper
+// bound, so the block may still fail the request; callers resume at the
+// next block. An unswept block always qualifies for n <= BlockWords. The
+// search climbs from from's leaf to the first right sibling subtree whose
+// maximum admits n, then descends to its leftmost qualifying leaf:
+// O(log blocks), no allocation.
+func (bt *BlockTable) FirstFit(from, n int) int {
+	if from >= len(bt.MaxRun) || int(bt.index[1]) < n {
+		return -1
+	}
+	v := int32(n)
+	i := bt.leaves + from
+	if bt.index[i] < v {
+		for {
+			if i <= 1 {
+				return -1
+			}
+			if i&1 == 0 && bt.index[i+1] >= v {
+				i++
+				break
+			}
+			i >>= 1
+		}
+		for i < bt.leaves {
+			i <<= 1
+			if bt.index[i] < v {
+				i++
+			}
+		}
+	}
+	return i - bt.leaves
 }
 
 // UnsweptAt reports whether block b awaits a lazy sweep.
@@ -127,11 +231,7 @@ func (h *Heap) NewBlockedSpace(name string, words int) *Space {
 		panic("heap: NewBlockedSpace with non-positive size")
 	}
 	s := h.NewSpace(name, words)
-	s.Blocks = &BlockTable{
-		FreeHead: make([]int32, s.NumBlocks()),
-		MaxRun:   make([]int32, s.NumBlocks()),
-		Unswept:  make([]uint64, (s.NumBlocks()+63)/64),
-	}
+	s.Blocks = newBlockTable(s.NumBlocks())
 	s.Top = s.Cap()
 	for b := 0; b < s.NumBlocks(); b++ {
 		off := b << BlockShift
@@ -144,6 +244,7 @@ func (h *Heap) NewBlockedSpace(name string, words int) *Space {
 		s.Blocks.FreeHead[b] = int32(off)
 		s.Blocks.MaxRun[b] = int32(end - off)
 	}
+	s.Blocks.rebuildIndex()
 	return s
 }
 
@@ -167,12 +268,15 @@ func SetFreeNext(s *Space, off, next int) {
 // AllocFromBlock carves n words first-fit out of block b's free list,
 // splitting any remainder back onto the list in place (a one-word remainder
 // cannot hold a link and stays unlinked-but-parsable until sweep coalesces
-// it). It returns false when no free block in b fits.
+// it). It returns false when no free block in b fits. Either outcome may
+// tighten the block's bound: to 0 when the carve empties the list, to n-1
+// when the scan fails.
 func (s *Space) AllocFromBlock(b, n int) (int, bool) {
-	if int(s.Blocks.MaxRun[b]) < n {
+	bt := s.Blocks
+	if int(bt.MaxRun[b]) < n {
 		return 0, false
 	}
-	fh := s.Blocks.FreeHead
+	fh := bt.FreeHead
 	prev := NoFreeBlock
 	for off := int(fh[b]); off != NoFreeBlock; {
 		hdr := s.Mem[off]
@@ -190,6 +294,9 @@ func (s *Space) AllocFromBlock(b, n int) (int, bool) {
 			}
 			if prev == NoFreeBlock {
 				fh[b] = int32(replacement)
+				if replacement == NoFreeBlock {
+					bt.setBound(b, 0)
+				}
 			} else {
 				SetFreeNext(s, prev, replacement)
 			}
@@ -199,7 +306,7 @@ func (s *Space) AllocFromBlock(b, n int) (int, bool) {
 		off = next
 	}
 	// The full scan found no run of n words, so every run is at most n-1.
-	s.Blocks.MaxRun[b] = int32(n - 1)
+	bt.setBound(b, int32(n-1))
 	return 0, false
 }
 

@@ -70,22 +70,26 @@ func (sw *Sweeper) Sweep(spaces ...*Space) uint64 {
 	}
 	sw.prefix = append(sw.prefix, total)
 
-	workers := sw.H.gcWorkers
-	if workers <= 1 {
+	var swept uint64
+	if workers := sw.H.gcWorkers; workers <= 1 {
 		// Sequential and solo configurations: the same per-block routine in
 		// flat address order on the caller — no goroutines, no atomics
 		// beyond the (uncontended) dirty-summary clears.
-		var swept uint64
 		for _, s := range sw.spaces {
 			for b := 0; b < s.NumBlocks(); b++ {
 				swept += uint64(sweepBlock(s, b))
 			}
 		}
-		sw.WordsSwept = swept
-		return swept
+	} else {
+		swept = sw.sweepParallel(workers, total)
 	}
-
-	return sw.sweepParallel(workers, total)
+	// sweepBlock set every bound; the shared first-fit index catches up
+	// once per space, off the workers.
+	for _, s := range sw.spaces {
+		s.Blocks.rebuildIndex()
+	}
+	sw.WordsSwept = swept
+	return swept
 }
 
 // sweepParallel is the workers >= 2 engine, split out so the goroutine
@@ -118,15 +122,16 @@ func (sw *Sweeper) sweepParallel(workers, total int) uint64 {
 		}()
 	}
 	wg.Wait()
-	sw.WordsSwept = sweptTotal.Load()
-	return sw.WordsSwept
+	return sweptTotal.Load()
 }
 
 // BeginLazy arms a lazy sweep over the given blocked spaces: every block is
 // flagged unswept and nothing else happens — the marked heap image stays in
-// place, with free lists stale until each block's sweep. Any previously
-// pending blocks (there are none in correct use; collectors flush with
-// FinishLazy before a new mark) are superseded.
+// place, with free lists stale until each block's sweep. Every block then
+// reads as BlockWords in the first-fit index, so an allocation scan reaches
+// it and sweeps it on demand. Any previously pending blocks (there are none
+// in correct use; collectors flush with FinishLazy before a new mark) are
+// superseded.
 func (sw *Sweeper) BeginLazy(spaces ...*Space) {
 	sw.lazySpaces = append(sw.lazySpaces[:0], spaces...)
 	sw.lazyPend = 0
@@ -139,20 +144,29 @@ func (sw *Sweeper) BeginLazy(spaces ...*Space) {
 		for b := 0; b < n; b++ {
 			s.Blocks.setUnswept(b)
 		}
+		s.Blocks.rebuildIndex()
 		sw.lazyPend += n
 	}
+}
+
+// sweepPending sweeps the pending block b of s, dropping its unswept flag
+// and repairing its index leaf, and returns the words examined.
+func (sw *Sweeper) sweepPending(s *Space, b int) int {
+	s.Blocks.clearUnswept(b)
+	sw.lazyPend--
+	words := sweepBlock(s, b)
+	s.Blocks.updateLeaf(b)
+	return words
 }
 
 // EnsureSwept sweeps block b of s now if it is still pending and returns
 // the words examined (0 when the block was already swept or no lazy sweep
 // is active). Allocation calls this before trusting a block's free list.
 func (sw *Sweeper) EnsureSwept(s *Space, b int) int {
-	if s.Blocks == nil || len(s.Blocks.Unswept) == 0 || !s.Blocks.UnsweptAt(b) {
+	if s.Blocks == nil || !s.Blocks.UnsweptAt(b) {
 		return 0
 	}
-	s.Blocks.clearUnswept(b)
-	sw.lazyPend--
-	return sweepBlock(s, b)
+	return sw.sweepPending(s, b)
 }
 
 // SweepPendingBlock sweeps the next pending block in address order and
@@ -174,9 +188,7 @@ func (sw *Sweeper) SweepPendingBlock() (words int, ok bool) {
 		for b := flat; b < n; b++ {
 			sw.lazyCursor++
 			if s.Blocks.UnsweptAt(b) {
-				s.Blocks.clearUnswept(b)
-				sw.lazyPend--
-				return sweepBlock(s, b), true
+				return sw.sweepPending(s, b), true
 			}
 		}
 		flat = 0
@@ -199,9 +211,7 @@ func (sw *Sweeper) FinishLazy() uint64 {
 		}
 		for b := 0; b < s.NumBlocks(); b++ {
 			if s.Blocks.UnsweptAt(b) {
-				s.Blocks.clearUnswept(b)
-				sw.lazyPend--
-				swept += uint64(sweepBlock(s, b))
+				swept += uint64(sw.sweepPending(s, b))
 			}
 		}
 	}
@@ -216,10 +226,12 @@ func (sw *Sweeper) LazyPending() int { return sw.lazyPend }
 // block's free list in address order, and the block's mark bits are
 // cleared. It returns the words examined (always the full block).
 //
-// The block is entirely this caller's: its words, its free-list head, and
-// its mark-bitmap span are touched by no other worker during a parallel
-// sweep. The only shared word is the dirty summary (64 blocks per bit-word),
-// which clearBlockMarks clears atomically.
+// The block is entirely this caller's: its words, its free-list head, its
+// bound, and its mark-bitmap span are touched by no other worker during a
+// parallel sweep. The only shared word is the dirty summary (64 blocks per
+// bit-word), which clearBlockMarks clears atomically. The first-fit index
+// is shared too, so sweepBlock leaves it alone: callers repair the block's
+// leaf (lazy sweeps) or rebuild the index once the batch is done (Sweep).
 func sweepBlock(s *Space, b int) int {
 	lo := b << BlockShift
 	hi := lo + BlockWords

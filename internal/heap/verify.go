@@ -21,6 +21,11 @@ import (
 //   5. Remembered-set completeness: for every rule a collector declares,
 //      every object whose fields demand an entry is actually in the set
 //      (§8.4's six situations reduce to these per-collector rules).
+//   6. Block tables: in every swept block of a blocked space, the free list
+//      stays inside the block in address order, and MaxRun is at least its
+//      largest linked free run (a bound that is too small silently changes
+//      placement or forces growth); and every first-fit index node agrees
+//      with MaxRun and the unswept bits.
 //
 // Verification is opt-in: collectors fire Heap.AfterGC at the end of every
 // collection, and the hook is nil unless a test (or the fuzz harness)
@@ -37,6 +42,7 @@ var (
 	ErrDanglingPointer = errors.New("dangling pointer")
 	ErrBadCensusWord   = errors.New("bad census word")
 	ErrRemsetMissing   = errors.New("remembered-set entry missing")
+	ErrStaleBlockTable = errors.New("stale block table")
 )
 
 // RemsetRule is one remembered-set completeness contract: whenever a live
@@ -139,6 +145,7 @@ func Verify(h *Heap, spec VerifySpec) error {
 		v.scanObjects()
 		v.scanRoots()
 		v.checkRemsets()
+		v.checkBlockTables()
 	}
 	return errors.Join(v.errs...)
 }
@@ -322,6 +329,55 @@ func (v *verifier) checkRemsets() {
 						}
 					}
 					break // one demanding slot settles this object for this rule
+				}
+			}
+		}
+	}
+}
+
+// checkBlockTables validates the block table of every live blocked space
+// (invariant 6). Unswept blocks' free lists and bounds are stale by design,
+// so only their index leaves are checked.
+func (v *verifier) checkBlockTables() {
+	for _, s := range v.h.Spaces {
+		bt := s.Blocks
+		if !v.live[s.ID] || bt == nil {
+			continue
+		}
+		for b := range bt.MaxRun {
+			if bt.UnsweptAt(b) {
+				continue
+			}
+			lo := b << BlockShift
+			hi := min(lo+BlockWords, s.Top)
+			longest := 0
+			for off := int(bt.FreeHead[b]); off != NoFreeBlock; off = FreeNext(s, off) {
+				hdr, ok := v.starts[s.ID][off]
+				if off < lo || off >= hi || !ok || HeaderType(hdr) != TFree {
+					if !v.errorf(ErrStaleBlockTable, "%v block %d: free-list link %d is not a free block further on in the block", s, b, off) {
+						return
+					}
+					break
+				}
+				longest = max(longest, ObjWords(hdr))
+				lo = off + 1 // address order: the next link must lie beyond this one
+			}
+			if int(bt.MaxRun[b]) < longest {
+				if !v.errorf(ErrStaleBlockTable, "%v block %d: MaxRun %d below its largest free run %d", s, b, bt.MaxRun[b], longest) {
+					return
+				}
+			}
+		}
+		for i := len(bt.index) - 1; i >= 1; i-- {
+			want := int32(0) // padding leaves past the last block
+			if b := i - bt.leaves; b < 0 {
+				want = max(bt.index[2*i], bt.index[2*i+1])
+			} else if b < len(bt.MaxRun) {
+				want = bt.leafBound(b)
+			}
+			if bt.index[i] != want {
+				if !v.errorf(ErrStaleBlockTable, "%v: first-fit index node %d holds %d, want %d", s, i, bt.index[i], want) {
+					return
 				}
 			}
 		}

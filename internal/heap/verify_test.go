@@ -228,3 +228,78 @@ func TestVerifyDoesNotMutate(t *testing.T) {
 		}
 	}
 }
+
+// newBlockedVerifyFixture is a verifyFixture whose live space is blocked:
+// block 0 holds a few carved vectors ahead of its remaining free run, and
+// the other blocks are wholly free.
+func newBlockedVerifyFixture(t *testing.T) *verifyFixture {
+	t.Helper()
+	h := New()
+	live := h.NewBlockedSpace("blocked", 5*BlockWords+77)
+	for _, n := range []int{4, 9, 4} {
+		off, ok := live.AllocFromBlock(0, n)
+		if !ok {
+			t.Fatal("fresh block refused a carve")
+		}
+		live.Mem[off] = HeaderWord(TVector, n-1)
+		for i := 1; i < n; i++ {
+			live.Mem[off+i] = FixnumWord(int64(i))
+		}
+	}
+	f := &verifyFixture{h: h, live: live, spec: VerifySpec{Live: []*Space{live}}}
+	if err := Verify(h, f.spec); err != nil {
+		t.Fatalf("fixture not clean: %v", err)
+	}
+	return f
+}
+
+// TestVerifyFreeRunBoundTooSmall: a MaxRun below the block's largest free
+// run would make first-fit skip a block that has room, silently moving
+// placement; the index is kept consistent so only the bound check fires.
+func TestVerifyFreeRunBoundTooSmall(t *testing.T) {
+	f := newBlockedVerifyFixture(t)
+	bt := f.live.Blocks
+	bt.setBound(0, 100) // block 0's free run is BlockWords-17 words
+	f.expect(t, ErrStaleBlockTable, "below its largest free run")
+}
+
+// TestVerifyBrokenBlockFreeList: a free-list head that leaves its block
+// (here, block 1's list pointing at block 0's free run) is diagnosed
+// rather than walked.
+func TestVerifyBrokenBlockFreeList(t *testing.T) {
+	f := newBlockedVerifyFixture(t)
+	bt := f.live.Blocks
+	bt.FreeHead[1] = bt.FreeHead[0]
+	f.expect(t, ErrStaleBlockTable, "block 1: free-list link")
+}
+
+// TestVerifyStaleFirstFitIndex: an index leaf that disagrees with MaxRun
+// (a bound written without repairing the tree) is diagnosed, as is an
+// internal node that no longer holds its children's maximum.
+func TestVerifyStaleFirstFitIndex(t *testing.T) {
+	f := newBlockedVerifyFixture(t)
+	bt := f.live.Blocks
+	bt.MaxRun[3] = 10
+	f.expect(t, ErrStaleBlockTable, "first-fit index node")
+
+	f = newBlockedVerifyFixture(t)
+	bt = f.live.Blocks
+	bt.index[1] = 7
+	f.expect(t, ErrStaleBlockTable, "first-fit index node 1 holds 7")
+}
+
+// TestVerifyUnsweptBlocksReadFull: during a lazy sweep, a pending block's
+// index leaf must read BlockWords whatever its stale bound says.
+func TestVerifyUnsweptBlocksReadFull(t *testing.T) {
+	f := newBlockedVerifyFixture(t)
+	bt := f.live.Blocks
+	bt.setBound(0, BlockWords-17) // exact: block 0's one free run
+	sw := NewSweeper(f.h)
+	sw.BeginLazy(f.live)
+	f.spec.SweepPending = func(s *Space, off int) bool { return s.Blocks.UnsweptAt(off >> BlockShift) }
+	if err := Verify(f.h, f.spec); err != nil {
+		t.Fatalf("armed lazy sweep not clean: %v", err)
+	}
+	bt.index[bt.leaves] = bt.MaxRun[0]
+	f.expect(t, ErrStaleBlockTable, "want 512")
+}

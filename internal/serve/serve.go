@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -75,6 +76,26 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// ErrInvalidConfig is wrapped by every error validate returns, so callers
+// of Run can tell a bad configuration (a usage error) from a failed run.
+var ErrInvalidConfig = errors.New("serve: invalid config")
+
+// validate rejects configurations no simulation can run. It applies to the
+// defaulted configuration, so zero values (which select the defaults) pass:
+// a shard heap must span at least one block, and there must be at least
+// one shard and at least one word per tick.
+func (c Config) validate() error {
+	switch {
+	case c.HeapWords < heap.BlockWords:
+		return fmt.Errorf("%w: heap of %d words is smaller than one %d-word block", ErrInvalidConfig, c.HeapWords, heap.BlockWords)
+	case c.Shards < 1:
+		return fmt.Errorf("%w: %d shards, need at least 1", ErrInvalidConfig, c.Shards)
+	case c.WordsPerTick < 1:
+		return fmt.Errorf("%w: %d words per tick, need at least 1", ErrInvalidConfig, c.WordsPerTick)
+	}
+	return nil
+}
+
 // CollectorNames lists the collectors a shard can run, in grid order.
 func CollectorNames() []string {
 	ncs := gcfuzz.CollectorsSized(0)
@@ -127,13 +148,16 @@ type Result struct {
 	Agg    Aggregate
 }
 
-// Run executes the simulation: generate the schedule, resolve the
-// allocation profiles, then run every shard as an independent cell under
-// the runner. Identical Config (including Seed) yields an identical Result
+// Run executes the simulation: validate the defaulted configuration,
+// generate the schedule, resolve the allocation profiles, then run every
+// shard as an independent cell under the runner. Identical Config (including Seed) yields an identical Result
 // regardless of Parallel, because shards share no state and results come
 // back in submission order.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	sched, err := Generate(cfg.Load)
 	if err != nil {
 		return nil, err

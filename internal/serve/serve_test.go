@@ -2,8 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
+
+	"rdgc/internal/heap"
 )
 
 // smallConfig is a grid cell small enough for unit tests but busy enough
@@ -165,5 +168,44 @@ func TestRunUnknownCollector(t *testing.T) {
 	cfg.Collector = "refcount"
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("unknown collector accepted")
+	}
+}
+
+// TestRunRejectsInvalidConfig: values no simulation can run fail with
+// ErrInvalidConfig before any shard starts, while zero values still select
+// the defaults.
+func TestRunRejectsInvalidConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"heap=1", func(c *Config) { c.HeapWords = 1 }},
+		{"heap=block-1", func(c *Config) { c.HeapWords = heap.BlockWords - 1 }},
+		{"heap=-8", func(c *Config) { c.HeapWords = -8 }},
+		{"shards=-1", func(c *Config) { c.Shards = -1 }},
+		{"wpt=-1", func(c *Config) { c.WordsPerTick = -1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig()
+			tc.edit(&cfg)
+			if _, err := Run(cfg); !errors.Is(err, ErrInvalidConfig) {
+				t.Fatalf("Run = %v, want %v", err, ErrInvalidConfig)
+			}
+		})
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"defaults", func(c *Config) { c.Shards, c.WordsPerTick = 0, 0 }},
+		{"heap=block", func(c *Config) { c.HeapWords = heap.BlockWords }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig()
+			tc.edit(&cfg)
+			if err := cfg.withDefaults().validate(); err != nil {
+				t.Fatalf("validate = %v, want nil", err)
+			}
+		})
 	}
 }
